@@ -45,7 +45,16 @@ def measure_workload_params(
     Returns:
         A fully populated :class:`~repro.core.params.WorkloadParams`,
         with each value clamped to its legal range.
+
+    Raises:
+        ValueError: for an empty trace, which has no parameters to
+            measure, or a simulation that is not Dragon's.
     """
+    if len(trace) == 0:
+        raise ValueError(
+            f"cannot measure workload parameters of empty trace "
+            f"{trace.name!r}"
+        )
     config = config if config is not None else SimulationConfig()
     if simulation is None:
         simulation = Machine("dragon", config).run(trace)

@@ -264,11 +264,16 @@ def run_geometry_family(
         order=order)`` per configuration.  Fast-path results carry
         ``engine="onepass"`` and share the family's wall time; fallback
         results come straight from ``Machine.run``.
+
+    Raises:
+        ValueError: for an unknown ``order`` or no cache sizes.
     """
     if order not in ("time", "trace"):
         raise ValueError(f"order must be 'time' or 'trace', got {order!r}")
     table = costs if costs is not None else CostTable.bus()
     sizes = [int(size) for size in cache_sizes]
+    if not sizes:
+        raise ValueError("cache_sizes must name at least one cache size")
     configs = {
         size: SimulationConfig(
             cache_bytes=size,

@@ -25,13 +25,14 @@ design space can be measured instead of speculated about:
 
 from __future__ import annotations
 
-from repro.trace.records import AccessType, Trace, TraceRecord
+import numpy as np
+
+from repro.trace.records import AccessType, Trace
+from repro.trace.stats import BLOCK_SHIFT, _shared_data_mask, _shared_runs
 
 __all__ = ["FLUSH_POLICIES", "apply_flush_policy", "implied_apl"]
 
 FLUSH_POLICIES = ("eager", "section", "oracle", "none")
-
-_BLOCK_SHIFT = 4  # 16-byte blocks, as everywhere in the reproduction
 
 
 def apply_flush_policy(trace: Trace, policy: str) -> Trace:
@@ -51,68 +52,44 @@ def apply_flush_policy(trace: Trace, policy: str) -> Trace:
     if policy == "section":
         return trace
 
-    stripped = [
-        record for record in trace.records
-        if record.kind is not AccessType.FLUSH
-    ]
-    if policy == "none":
-        rewritten = stripped
-    elif policy == "eager":
-        rewritten = _eager(trace, stripped)
-    else:
-        rewritten = _oracle(trace, stripped)
-
-    return Trace(
+    keep = trace.kind != AccessType.FLUSH
+    stripped = Trace.from_arrays(
         name=f"{trace.name}[{policy}]",
         cpus=trace.cpus,
         shared_region=trace.shared_region,
-        records=rewritten,
+        cpu=trace.cpu[keep],
+        kind=trace.kind[keep],
+        address=trace.address[keep],
     )
+    if policy == "none":
+        return stripped
+    shared = _shared_data_mask(stripped)
+    if policy == "eager":
+        # A flush immediately after every shared data reference.
+        after = np.flatnonzero(shared)
+    else:
+        # Oracle: flush exactly at run ends (perfect future knowledge),
+        # i.e. after every shared reference whose block is next
+        # referenced by another CPU, or never again.
+        after = np.sort(_shared_runs(stripped, shared).last)
+    return _with_flushes_after(stripped, after)
 
 
-def _eager(trace: Trace, records: list[TraceRecord]) -> list[TraceRecord]:
-    """A flush immediately after every shared data reference."""
-    rewritten: list[TraceRecord] = []
-    for record in records:
-        rewritten.append(record)
-        if record.kind.is_data and trace.is_shared(record.address):
-            block_address = (record.address >> _BLOCK_SHIFT) << _BLOCK_SHIFT
-            rewritten.append(
-                TraceRecord(record.cpu, AccessType.FLUSH, block_address)
-            )
-    return rewritten
-
-
-def _oracle(trace: Trace, records: list[TraceRecord]) -> list[TraceRecord]:
-    """Flush exactly at run ends (perfect future knowledge).
-
-    A backward pass computes, for each shared reference, the CPU of
-    the *next* reference to the same block; the forward pass inserts a
-    flush after every reference whose successor belongs to another CPU
-    (or that is the block's last reference).
-    """
-    next_cpu_of: list[int | None] = [None] * len(records)
-    upcoming: dict[int, int] = {}
-    for index in range(len(records) - 1, -1, -1):
-        record = records[index]
-        if not record.kind.is_data or not trace.is_shared(record.address):
-            continue
-        block = record.address >> _BLOCK_SHIFT
-        next_cpu_of[index] = upcoming.get(block)
-        upcoming[block] = record.cpu
-
-    rewritten: list[TraceRecord] = []
-    for index, record in enumerate(records):
-        rewritten.append(record)
-        if not record.kind.is_data or not trace.is_shared(record.address):
-            continue
-        successor = next_cpu_of[index]
-        if successor is None or successor != record.cpu:
-            block_address = (record.address >> _BLOCK_SHIFT) << _BLOCK_SHIFT
-            rewritten.append(
-                TraceRecord(record.cpu, AccessType.FLUSH, block_address)
-            )
-    return rewritten
+def _with_flushes_after(trace: Trace, after: np.ndarray) -> Trace:
+    """``trace`` with a FLUSH of the referenced block inserted after
+    each row in ``after`` (ascending positions), by the same CPU."""
+    at = after + 1
+    block_address = (
+        trace.address[after] >> np.uint64(BLOCK_SHIFT)
+    ) << np.uint64(BLOCK_SHIFT)
+    return Trace.from_arrays(
+        name=trace.name,
+        cpus=trace.cpus,
+        shared_region=trace.shared_region,
+        cpu=np.insert(trace.cpu, at, trace.cpu[after]),
+        kind=np.insert(trace.kind, at, AccessType.FLUSH),
+        address=np.insert(trace.address, at, block_address),
+    )
 
 
 def implied_apl(trace: Trace) -> float:
@@ -121,13 +98,7 @@ def implied_apl(trace: Trace) -> float:
 
     Returns ``inf`` for a trace without flushes.
     """
-    shared = 0
-    flushes = 0
-    for record in trace.records:
-        if record.kind is AccessType.FLUSH:
-            flushes += 1
-        elif record.kind.is_data and trace.is_shared(record.address):
-            shared += 1
+    flushes = int(np.count_nonzero(trace.kind == AccessType.FLUSH))
     if flushes == 0:
         return float("inf")
-    return shared / flushes
+    return int(np.count_nonzero(_shared_data_mask(trace))) / flushes

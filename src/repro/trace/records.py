@@ -161,6 +161,23 @@ class TraceRecords(Sequence):
         return f"TraceRecords(<{len(self)} records>)"
 
 
+def _column(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a column of ``dtype``, refusing values the cast
+    would wrap (negative, or too wide) instead of coercing them."""
+    if isinstance(values, np.ndarray) and values.dtype != dtype:
+        if values.dtype.kind in "iu" and values.size:
+            low, high = int(values.min()), int(values.max())
+            if low < 0 or high > np.iinfo(dtype).max:
+                raise ValueError(
+                    f"{name} column values must lie in "
+                    f"[0, {np.iinfo(dtype).max}], got [{low}, {high}]"
+                )
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError as error:
+        raise ValueError(f"{name} column: {error}") from error
+
+
 def _columns_from_records(
     records: Iterable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,9 +190,9 @@ def _columns_from_records(
         kind_column.append(int(kind))
         address_column.append(address)
     return (
-        np.asarray(cpu_column, dtype=CPU_DTYPE),
-        np.asarray(kind_column, dtype=KIND_DTYPE),
-        np.asarray(address_column, dtype=ADDRESS_DTYPE),
+        _column("cpu", cpu_column, CPU_DTYPE),
+        _column("kind", kind_column, KIND_DTYPE),
+        _column("address", address_column, ADDRESS_DTYPE),
     )
 
 
@@ -230,6 +247,11 @@ class Trace:
                 f"kind codes must be < {len(KIND_MEMBERS)}, "
                 f"got {int(kind.max())}"
             )
+        if len(cpu) and int(cpu.max()) >= self.cpus:
+            raise ValueError(
+                f"cpu column ids must be < cpus={self.cpus}, "
+                f"got {int(cpu.max())}"
+            )
         self.cpu = cpu
         self.kind = kind
         self.address = address
@@ -245,7 +267,12 @@ class Trace:
         address: np.ndarray,
     ) -> "Trace":
         """Build a trace directly from the three columns (no copy when
-        dtypes already match)."""
+        dtypes already match).
+
+        Raises:
+            ValueError: naming the column, for a CPU id ``>= cpus`` or
+                a value its dtype cast would wrap (a negative address).
+        """
         trace = cls.__new__(cls)
         if cpus < 1:
             raise ValueError(f"cpus must be >= 1, got {cpus}")
@@ -253,9 +280,9 @@ class Trace:
         trace.cpus = cpus
         trace.shared_region = shared_region
         trace._bind_columns(
-            np.asarray(cpu, dtype=CPU_DTYPE),
-            np.asarray(kind, dtype=KIND_DTYPE),
-            np.asarray(address, dtype=ADDRESS_DTYPE),
+            _column("cpu", cpu, CPU_DTYPE),
+            _column("kind", kind, KIND_DTYPE),
+            _column("address", address, ADDRESS_DTYPE),
         )
         return trace
 

@@ -9,12 +9,19 @@ in :mod:`repro.sim.measure`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.trace.records import AccessType, Trace
 
 __all__ = ["TraceStats", "collect_stats", "shared_run_lengths"]
+
+#: log2 of the block size for run accounting and flush placement.  The
+#: paper uses 16-byte blocks throughout and the record format carries
+#: no block size, so every trace is accounted at 16 bytes.
+BLOCK_SHIFT = 4
 
 
 @dataclass
@@ -94,62 +101,34 @@ class TraceStats:
 
 
 def collect_stats(trace: Trace) -> TraceStats:
-    """Single-pass statistics over a trace.
+    """Statistics over a trace.
 
     Run-length accounting follows the paper: for each shared block we
     track the current owning CPU and its consecutive reference count;
     a reference by a different CPU closes the run.  Runs still open at
-    the end of the trace are closed there.
+    the end of the trace are closed there.  ``run_lengths`` lists the
+    runs in the order they close (see :func:`_shared_runs`).
     """
-    stats = TraceStats(per_cpu_records=[0] * trace.cpus)
-    block_shift = _infer_block_shift(trace)
-    # shared block -> (owner cpu, run length, run contains a write)
-    open_runs: dict[int, tuple[int, int, bool]] = {}
-    shared_blocks: set[int] = set()
-
-    for cpu, kind, address in trace.records:
-        stats.per_cpu_records[cpu] += 1
-        if kind is AccessType.INST_FETCH:
-            stats.instructions += 1
-            continue
-        if kind is AccessType.FLUSH:
-            stats.flushes += 1
-            continue
-
-        is_store = kind is AccessType.STORE
-        if is_store:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-
-        if not trace.is_shared(address):
-            continue
-        if is_store:
-            stats.shared_stores += 1
-        else:
-            stats.shared_loads += 1
-
-        block = address >> block_shift
-        shared_blocks.add(block)
-        run = open_runs.get(block)
-        if run is None or run[0] != cpu:
-            if run is not None:
-                _close_run(stats, run)
-            open_runs[block] = (cpu, 1, is_store)
-        else:
-            open_runs[block] = (cpu, run[1] + 1, run[2] or is_store)
-
-    for run in open_runs.values():
-        _close_run(stats, run)
-    stats.shared_blocks_touched = len(shared_blocks)
-    return stats
-
-
-def _close_run(stats: TraceStats, run: tuple[int, int, bool]) -> None:
-    _, length, wrote = run
-    stats.run_lengths.append(length)
-    if wrote:
-        stats.write_run_lengths.append(length)
+    counts = np.bincount(trace.kind, minlength=len(AccessType))
+    shared = _shared_data_mask(trace)
+    shared_stores = int(
+        np.count_nonzero(trace.kind[shared] == AccessType.STORE)
+    )
+    runs = _shared_runs(trace, shared)
+    lengths = runs.length[runs.close_order]
+    wrote = runs.wrote[runs.close_order]
+    return TraceStats(
+        instructions=int(counts[AccessType.INST_FETCH]),
+        flushes=int(counts[AccessType.FLUSH]),
+        loads=int(counts[AccessType.LOAD]),
+        stores=int(counts[AccessType.STORE]),
+        shared_loads=int(np.count_nonzero(shared)) - shared_stores,
+        shared_stores=shared_stores,
+        per_cpu_records=trace.per_cpu_counts(),
+        shared_blocks_touched=int(np.count_nonzero(runs.opens_block)),
+        run_lengths=lengths.tolist(),
+        write_run_lengths=lengths[wrote].tolist(),
+    )
 
 
 def shared_run_lengths(trace: Trace) -> dict[int, list[int]]:
@@ -157,33 +136,88 @@ def shared_run_lengths(trace: Trace) -> dict[int, list[int]]:
 
     Returns:
         ``{block_number: [run lengths in order]}`` using 16-byte
-        blocks (or the trace's inferable block size).
+        blocks, with blocks in the order their first run closes.
     """
-    block_shift = _infer_block_shift(trace)
-    runs: dict[int, list[int]] = defaultdict(list)
-    current: dict[int, tuple[int, int]] = {}
-    for cpu, kind, address in trace.records:
-        if not kind.is_data or not trace.is_shared(address):
-            continue
-        block = address >> block_shift
-        owner = current.get(block)
-        if owner is None or owner[0] != cpu:
-            if owner is not None:
-                runs[block].append(owner[1])
-            current[block] = (cpu, 1)
-        else:
-            current[block] = (cpu, owner[1] + 1)
-    for block, (_, length) in current.items():
-        runs[block].append(length)
-    return dict(runs)
+    runs = _shared_runs(trace, _shared_data_mask(trace))
+    # Runs are grouped by block, so a block's first run is the one
+    # that opens it; its closing rank orders the block's key.
+    first_runs = np.flatnonzero(runs.opens_block)
+    rank = np.empty_like(runs.close_order)
+    rank[runs.close_order] = np.arange(len(rank))
+    block_order = np.argsort(rank[first_runs], kind="stable")
+    bounds = np.append(first_runs, len(runs.length)).tolist()
+    blocks = runs.block[first_runs].tolist()
+    lengths = runs.length.tolist()
+    return {
+        blocks[i]: lengths[bounds[i]:bounds[i + 1]]
+        for i in block_order.tolist()
+    }
 
 
-def _infer_block_shift(trace: Trace) -> int:
-    """Block size used for run accounting.
+def _shared_data_mask(trace: Trace) -> np.ndarray:
+    """Loads and stores whose address lies in the shared region."""
+    data = (trace.kind == AccessType.LOAD) | (trace.kind == AccessType.STORE)
+    data &= trace.shared_mask()
+    return data
 
-    The paper uses 16-byte blocks throughout; traces could in
-    principle carry other sizes, but nothing in the record format
-    encodes it, so we standardise on 16 bytes (shift 4).
+
+class _Runs(NamedTuple):
+    """Per-run arrays, runs grouped by block and in time order within."""
+
+    block: np.ndarray  # block number of the run
+    opens_block: np.ndarray  # first run of its block
+    length: np.ndarray  # references in the run
+    wrote: np.ndarray  # the run contains a store
+    last: np.ndarray  # trace position of the run's last reference
+    close_order: np.ndarray  # run indices in the order a loop closes them
+
+
+def _shared_runs(trace: Trace, shared: np.ndarray) -> _Runs:
+    """Run-boundary kernel over the references selected by ``shared``.
+
+    The selected references are sorted stably by 16-byte block, which
+    keeps trace order within a block; a run starts wherever the block
+    or the CPU changes.  A forward loop keeping one open run per block
+    closes a run at the next run's first reference in the same block,
+    so such a run's closing key is that reference's trace position.
+    Runs still open at the end close after every other one, in the
+    order their blocks were first referenced (``len(trace)`` plus the
+    block's first position keeps the keys distinct and ordered).
     """
-    del trace  # reserved for a future per-trace block-size field
-    return 4
+    positions = np.flatnonzero(shared)
+    blocks = trace.address[positions] >> np.uint64(BLOCK_SHIFT)
+    by_block = np.argsort(blocks, kind="stable")
+    positions = positions[by_block]
+    blocks = blocks[by_block]
+    cpus = trace.cpu[positions]
+
+    new_block = np.ones(len(positions), dtype=bool)
+    np.not_equal(blocks[1:], blocks[:-1], out=new_block[1:])
+    new_run = new_block.copy()
+    new_run[1:] |= cpus[1:] != cpus[:-1]
+    starts = np.flatnonzero(new_run)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1:] = len(positions)
+    stores = trace.kind[positions] == AccessType.STORE
+    wrote = (
+        np.logical_or.reduceat(stores, starts)
+        if len(starts) else np.zeros(0, dtype=bool)
+    )
+
+    opens_block = new_block[starts]
+    still_open = np.empty_like(opens_block)
+    still_open[:-1] = opens_block[1:]
+    still_open[-1:] = True
+    close_key = np.empty(len(starts), dtype=np.int64)
+    close_key[:-1] = positions[starts[1:]]
+    block_first = positions[starts[opens_block]]
+    close_key[still_open] = len(trace) + block_first
+    return _Runs(
+        block=blocks[starts],
+        opens_block=opens_block,
+        length=ends - starts,
+        wrote=wrote,
+        last=positions[ends - 1],
+        close_order=np.argsort(close_key),
+    )

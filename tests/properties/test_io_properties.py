@@ -23,13 +23,22 @@ from hypothesis import strategies as st
 from repro.trace.io import TraceFormatError, load_trace, save_trace
 from repro.trace.records import AccessType, AddressRange, Trace
 
-records = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2**16 - 1),  # cpu
-        st.integers(min_value=0, max_value=len(AccessType) - 1),
-        st.integers(min_value=0, max_value=2**64 - 1),  # address
-    ),
-    max_size=120,
+
+def records(cpus):
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=cpus - 1),  # cpu
+            st.integers(min_value=0, max_value=len(AccessType) - 1),
+            st.integers(min_value=0, max_value=2**64 - 1),  # address
+        ),
+        max_size=120,
+    )
+
+
+# A CPU count and records whose CPU ids lie below it (a trace refuses
+# ids >= cpus); counts reach 2**16 so ids span the whole uint16 column.
+cpus_and_records = st.integers(min_value=1, max_value=2**16).flatmap(
+    lambda cpus: st.tuples(st.just(cpus), records(cpus))
 )
 
 names = st.text(
@@ -65,14 +74,14 @@ class TestV2RoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(
         name=names,
-        cpus=st.integers(min_value=1, max_value=1024),
         shared=st.tuples(
             st.integers(min_value=0, max_value=2**40),
             st.integers(min_value=0, max_value=2**40),
         ).map(sorted),
-        contents=records,
+        columns=cpus_and_records,
     )
-    def test_arbitrary_columns_survive(self, name, cpus, shared, contents):
+    def test_arbitrary_columns_survive(self, name, shared, columns):
+        cpus, contents = columns
         trace = build_trace(name, cpus, shared, contents)
         loaded = roundtrip(trace)
         assert loaded.name == trace.name

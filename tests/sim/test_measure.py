@@ -5,6 +5,7 @@ import pytest
 from repro.core import WorkloadParams
 from repro.sim import Machine, SimulationConfig, measure_workload_params
 from repro.trace import TraceConfig, generate_trace
+from repro.trace.records import Trace
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,22 @@ class TestMeasureWorkloadParams:
         simulation = Machine("base", config).run(trace)
         with pytest.raises(ValueError, match="Dragon"):
             measure_workload_params(trace, config, simulation)
+
+    def test_rejects_empty_trace_by_name(self, trace, config):
+        empty = Trace.from_arrays(
+            name="nothing",
+            cpus=2,
+            shared_region=trace.shared_region,
+            cpu=trace.cpu[:0],
+            kind=trace.kind[:0],
+            address=trace.address[:0],
+        )
+        with pytest.raises(
+            ValueError,
+            match="cannot measure workload parameters of empty trace "
+            "'nothing'",
+        ):
+            measure_workload_params(empty, config)
 
     def test_measured_values_in_legal_ranges(self, trace, config):
         params = measure_workload_params(trace, config)

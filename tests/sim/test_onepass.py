@@ -144,6 +144,13 @@ class TestOnepassMatchesMachine:
 
 
 class TestFastPathGate:
+    @pytest.mark.parametrize("protocol", ["base", "dragon", "directory"])
+    def test_rejects_no_cache_sizes(self, seeded_trace, protocol):
+        with pytest.raises(
+            ValueError, match="cache_sizes must name at least one cache size"
+        ):
+            run_geometry_family(protocol, seeded_trace, [])
+
     def test_fast_path_provenance(self, seeded_trace):
         family = run_geometry_family("base", seeded_trace, SIZES)
         for result in family.values():

@@ -146,6 +146,49 @@ class TestColumnarLayout:
                 address=trace.address,
             )
 
+    def test_from_arrays_rejects_cpu_id_out_of_range(self):
+        trace = _toy_trace()
+        with pytest.raises(
+            ValueError, match=r"cpu column ids must be < cpus=2, got 2"
+        ):
+            Trace.from_arrays(
+                name="x",
+                cpus=2,
+                shared_region=AddressRange(0, 1),
+                cpu=trace.cpu,
+                kind=trace.kind,
+                address=trace.address,
+            )
+
+    def test_from_arrays_rejects_negative_address(self):
+        import numpy as np
+
+        trace = _toy_trace()
+        address = trace.address.astype(np.int64)
+        address[0] = -5
+        with pytest.raises(
+            ValueError,
+            match=r"address column values must lie in "
+            r"\[0, 18446744073709551615\], got \[-5, ",
+        ):
+            Trace.from_arrays(
+                name="x",
+                cpus=3,
+                shared_region=AddressRange(0, 1),
+                cpu=trace.cpu,
+                kind=trace.kind,
+                address=address,
+            )
+
+    def test_records_reject_negative_address(self):
+        with pytest.raises(ValueError, match="address column"):
+            Trace(
+                name="x",
+                cpus=1,
+                shared_region=AddressRange(0, 1),
+                records=[TraceRecord(0, AccessType.LOAD, -5)],
+            )
+
     def test_records_view_indexing(self):
         records = _toy_trace().records
         assert records[1] == TraceRecord(1, AccessType.LOAD, 0x1000)
