@@ -7,8 +7,12 @@ size) family instead of one per cell — while returning statistics
 bit-identical to the per-config path.  The pytest-benchmark entries
 here track both paths on the paper-bracketing eight-size family;
 ``test_family_speedup`` records the measured ratio
-(``extra_info["speedup"]``) and enforces the 3x wall-clock floor, and
-``test_family_traversals`` enforces the >= 5x traversal saving.
+(``extra_info["speedup"]``), and ``test_family_traversals`` enforces
+the >= 5x traversal saving.  The per-config path is itself a family of
+one now (``Machine.run`` routes through the same engine), so the
+ratio is the saving of sharing one classification across eight sizes;
+it is recorded, not gated — the 3x floor was set against the retired
+columnar static-hit analysis.
 
 The module also runs standalone for CI::
 
@@ -39,8 +43,6 @@ _BENCH_RECORDS = 40_000
 _SMOKE_SIZES = (4096, 16384, 65536, 262144)
 _SMOKE_RECORDS = 10_000
 
-_WALL_FLOOR = 3.0
-_SMOKE_WALL_FLOOR = 2.0
 _TRAVERSAL_FLOOR = 5.0
 
 
@@ -84,7 +86,7 @@ def test_family_onepass(benchmark):
 
 
 def test_family_speedup(benchmark):
-    """Record and enforce the >= 3x sweep-scale speedup."""
+    """Record the sweep-scale speedup over eight families of one."""
     trace = _trace(_BENCH_RECORDS)
 
     # Min over rounds on both sides, matching pytest-benchmark's own
@@ -109,10 +111,6 @@ def test_family_speedup(benchmark):
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["cache_sizes"] = len(_BENCH_SIZES)
     benchmark.extra_info["records"] = len(trace)
-    assert speedup >= _WALL_FLOOR, (
-        f"one-pass family only {speedup:.1f}x faster than per-config "
-        f"({per_config_seconds:.3f}s vs {onepass_seconds:.3f}s)"
-    )
 
 
 def test_family_traversals():
@@ -135,7 +133,7 @@ def test_family_traversals():
 
 
 def run_smoke() -> int:
-    """Bit-exactness for all three protocols + timing floor; 0 if ok."""
+    """Bit-exactness for all three protocols + timing report; 0 if ok."""
     trace = _trace(_SMOKE_RECORDS)
     failures = 0
     for protocol in ("base", "nocache", "swflush"):
@@ -170,13 +168,6 @@ def run_smoke() -> int:
         f"{per_config_seconds:.3f}s, one-pass {onepass_seconds:.3f}s "
         f"({speedup:.1f}x)"
     )
-    if speedup < _SMOKE_WALL_FLOOR:
-        print(
-            f"speedup {speedup:.1f}x below the "
-            f"{_SMOKE_WALL_FLOOR:.0f}x smoke floor",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -15,28 +15,26 @@ slightly distorted"), which it verified to be benign.
 Replay engines
 --------------
 
-``Machine.run`` has two engines producing **identical** statistics
-(enforced by ``tests/sim/test_equivalence.py``):
+Every engine of ``Machine.run`` produces **identical** statistics,
+enforced against the legacy loop by ``tests/sim/test_equivalence.py``,
+``tests/sim/test_onepass.py`` and ``tests/sim/test_family.py``:
 
-* ``engine="columnar"`` (default) consumes the trace's numpy columns
-  directly: block indices and shared-block flags are vectorised up
-  front, per-operation costs live in a single pre-folded dict of
-  ``(cpu_cycles, bus_cycles, is_miss, is_dirty_victim, counter)``
-  tuples, per-CPU counters are plain local lists, and — for protocols
-  declaring ``read_hit_is_free`` — the dominant case (a resident
-  instruction fetch or unshared load) is handled inline as a two-probe
-  LRU touch with no per-record tuple allocation and no protocol call.
-  For protocols whose contract flags allow it, a vectorised static
-  analysis additionally *proves* most references hit before replay
-  begins (same-block runs, re-references within the window the
-  associativity guarantees), and time-ordered replay then becomes an
-  *event-driven* merge: only the records that can interact across
-  processors (potential misses, stores, handled flushes) are scheduled
-  in exact legacy heap order, while the proven hits between them are
-  applied as whole spans via prefix-summed clock advances and deferred
-  LRU touches.
+* ``engine="columnar"`` (default) is a geometry family of one: when
+  :func:`repro.sim.onepass.family_support` accepts the run, the
+  one-pass engine (Base, No-Cache, Software-Flush) or the epoch engine
+  (Dragon, WTI) replays it and the result's ``engine`` records
+  ``"onepass"`` or ``"epoch"``.  Every other run — the hybrids, the
+  directory, Dragon or WTI above 2-way, non-integral costs or
+  arbitration overhead, protocol subclasses — takes the
+  array-consuming record loop: block indices and shared-block flags
+  are vectorised up front, per-operation costs live in a single
+  pre-folded dict of ``(cpu_cycles, bus_cycles, is_miss,
+  is_dirty_victim, counter)`` tuples, per-CPU counters are plain local
+  lists, and — for protocols declaring ``read_hit_is_free`` — a
+  resident instruction fetch or unshared load is handled inline as a
+  two-probe LRU touch with no protocol call.
 * ``engine="legacy"`` is the original straightforward record loop,
-  kept as the executable specification the columnar engine is tested
+  kept as the executable specification the other engines are tested
   against.
 """
 
@@ -47,9 +45,6 @@ import time
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
-
-import numpy as np
 
 from repro.core.operations import CostTable, Operation
 from repro.obs.metrics import note_replay
@@ -60,7 +55,7 @@ from repro.sim.bus import (
     validate_arbitration_cycles,
     validate_discipline,
 )
-from repro.sim.cache import Cache, CacheGeometry, LineState
+from repro.sim.cache import Cache, CacheGeometry
 from repro.sim.protocols import Protocol, protocol_class
 from repro.sim.protocols.interface import NO_ACTION
 from repro.trace.derived import derived_columns
@@ -311,14 +306,18 @@ class Machine:
                 bus "from the future" (the distortion the paper
                 discusses in Section 3).  Per-CPU program order is
                 preserved either way.
-            engine: ``"columnar"`` (default) runs the fast
-                array-consuming replay loop; ``"legacy"`` runs the
-                original record loop; ``"segment"`` runs the pure-numpy
-                segment-scan kernel (geometry-local protocols,
-                associativity 1 or 2, integral costs — raises
-                ``ValueError`` otherwise); ``"arbitrated"`` runs the
-                deferred-grant engine honouring the configured bus
-                discipline.  A non-``fcfs``
+            engine: ``"columnar"`` (default) runs the one-pass or
+                epoch family engine as a family of one wherever
+                :func:`repro.sim.onepass.family_support` accepts the
+                run (the result's ``engine`` then records
+                ``"onepass"`` or ``"epoch"``), and the fast
+                array-consuming replay loop otherwise; ``"legacy"``
+                runs the original record loop; ``"segment"`` runs the
+                pure-numpy segment-scan kernel (geometry-local
+                protocols, associativity 1 or 2, integral costs —
+                raises ``ValueError`` otherwise); ``"arbitrated"``
+                runs the deferred-grant engine honouring the
+                configured bus discipline.  A non-``fcfs``
                 ``config.bus_discipline`` forces the arbitrated
                 engine (columnar/legacy cannot express it), and the
                 result's ``engine`` field records ``"arbitrated"``.
@@ -341,6 +340,28 @@ class Machine:
             from repro.sim.onepass import run_segment_engine
 
             return run_segment_engine(self, trace, order)
+        if not arbitrated and engine == "columnar":
+            # Lazy import, as above.  The private entry keeps the sweep
+            # API (and its fallback bookkeeping) out of per-config runs.
+            from repro.sim.onepass import _replay_family, family_support
+
+            family_engine, _ = family_support(
+                self.protocol_class,
+                self.costs,
+                self.config.associativity,
+                discipline,
+                self.config.bus_arbitration_cycles,
+            )
+            if family_engine != "fallback":
+                size = self.config.cache_bytes
+                return _replay_family(
+                    family_engine,
+                    self.protocol_class.name,
+                    trace,
+                    {size: self.config},
+                    self.costs,
+                    order,
+                )[size]
         if arbitrated and order == "trace":
             raise ValueError(
                 "order='trace' cannot be honoured by the arbitrated "
@@ -426,9 +447,8 @@ class Machine:
         byte-identical to :meth:`_run_legacy` (same arithmetic on the
         same values in the same sequence).
         """
-        total = len(trace)
         n = trace.cpus
-        if total == 0:
+        if not len(trace):
             return
 
         # Vectorised preprocessing, memoized per (trace content, block
@@ -440,7 +460,6 @@ class Machine:
         derived = derived_columns(trace, block_shift)
         kind_np = trace.kind
         blocks_np = derived.blocks
-        shared_np = derived.shared
         mix = derived.mix
         shared_loads = derived.shared_loads
         shared_stores = derived.shared_stores
@@ -480,181 +499,6 @@ class Machine:
         kind_members = KIND_MEMBERS
         line_sets = [cache.line_sets for cache in caches]
         set_mask = caches[0].set_mask if caches else 0
-        dirty_state = LineState.DIRTY
-
-        # Statically-proven fetch hits ("guaranteed hits"): a fetch to
-        # the same block as the immediately preceding reference of the
-        # same CPU must hit, provided that reference left the block
-        # resident (it was not a flush, nor an uncached shared data
-        # reference under No-Cache) and no other CPU's traffic can
-        # evict lines from this cache
-        # (``remote_traffic_preserves_residency``).  Such a fetch is
-        # exactly ``clock += 1.0``: the predecessor touched the block
-        # last and snoop state updates never reorder a set, so it is
-        # already most-recently-used and even the LRU touch is a
-        # no-op.  Sequential instruction fetches make these the
-        # majority of all records.  Batching is gated on integral
-        # operation costs so clocks stay exact-integer floats and a
-        # batched ``clock += k`` is bit-identical to ``k``
-        # single-cycle advances.
-        order_np = derived.order
-        eager = (
-            fast_hits
-            and protocol.remote_traffic_preserves_residency
-            # Arbitration overhead lands on processor clocks via bus
-            # grants; it must be integral too for batched clock
-            # advances to stay bit-identical to single steps.
-            and float(self.config.bus_arbitration_cycles).is_integer()
-            and all(
-                float(info[0]).is_integer() and float(info[1]).is_integer()
-                for info in op_info.values()
-            )
-        )
-        if eager:
-            kinds_sorted_np = derived.kinds_sorted
-            blocks_sorted_np = derived.blocks_sorted
-            cpus_sorted_np = derived.cpus_sorted
-            sets_sorted_np = (blocks_sorted_np & np.uint64(set_mask)).astype(
-                np.int64
-            )
-            is_fetch = derived.is_fetch_sorted
-            # Records eligible to be proven pure hits ("class A"):
-            # fetches (a hit costs exactly the one instruction cycle)
-            # and loads (a hit is free) — under No-Cache not shared
-            # loads (uncached).
-            eligible_a = is_fetch | (kinds_sorted_np == 1)
-            # Which records touch their cache set at all, and which
-            # leave their block resident (and MRU of its set):
-            # everything except flushes — and, under No-Cache, except
-            # uncached shared data references, which are transparent.
-            touches = np.ones(total, dtype=bool)
-            shared_sorted_np = None
-            if not protocol.caches_shared_data:
-                shared_sorted_np = derived.shared_sorted
-                uncached = (kinds_sorted_np != 0) & shared_sorted_np
-                touches &= ~uncached
-                eligible_a &= ~(uncached & (kinds_sorted_np == 1))
-            if handles_flush:
-                leaves_resident = touches & (kinds_sorted_np != 3)
-            else:
-                # Unhandled flushes are complete no-ops: transparent.
-                touches &= kinds_sorted_np != 3
-                leaves_resident = touches
-            # Stores eligible to be proven *local* hits ("class B"):
-            # when the protocol declares a store hit purely local, a
-            # statically-proven store hit reduces to dirtying the line
-            # with an MRU touch — no protocol call, no bus, no clock.
-            if protocol.store_hit_is_local:
-                eligible_b = (kinds_sorted_np == 2) & touches
-            elif protocol.private_store_hit_is_local:
-                # Restricted form (Dragon): only stores to blocks that
-                # are outside the shared region and that no other CPU
-                # ever references — the line is then provably in an
-                # exclusive state, so the hit cannot broadcast and
-                # touches no sharing counters.
-                if shared_sorted_np is None:
-                    shared_sorted_np = derived.shared_sorted
-                pair = blocks_sorted_np * np.uint64(n)
-                pair += cpus_sorted_np.astype(np.uint64)
-                pair_blocks = np.unique(pair) // np.uint64(n)
-                multi_cpu = pair_blocks[1:][
-                    pair_blocks[1:] == pair_blocks[:-1]
-                ]
-                eligible_b = (
-                    (kinds_sorted_np == 2)
-                    & ~shared_sorted_np
-                    & ~np.isin(blocks_sorted_np, multi_cpu)
-                )
-            else:
-                eligible_b = np.zeros(total, dtype=bool)
-            eligible = eligible_a | eligible_b
-            # Group records by (cpu, set): eviction is strictly
-            # per-set and remote traffic cannot evict, so each set's
-            # contents evolve deterministically from its own group's
-            # records alone.  Non-touching records get unique keys so
-            # they are transparent; the stable sort keeps per-stream
-            # program order within each group.
-            sets_count = set_mask + 1
-            group_key = cpus_sorted_np.astype(np.int64) * sets_count
-            group_key += sets_sorted_np
-            untouched = ~touches
-            group_key[untouched] = n * sets_count + np.flatnonzero(untouched)
-            key_order = np.argsort(group_key, kind="stable")
-            keys_grouped = group_key[key_order]
-            blocks_grouped = blocks_sorted_np[key_order]
-            leaves_grouped = leaves_resident[key_order]
-            same_group = np.zeros(total, dtype=bool)
-            same_group[1:] = keys_grouped[1:] == keys_grouped[:-1]
-            # Same-block rule: a reference whose group predecessor (the
-            # most recent same-set touch of the same stream) was to the
-            # same block and left it resident must hit, and the block
-            # is already most-recently-used in its set (the
-            # predecessor touched it last; state updates assign in
-            # place and never reorder a set), so even the LRU touch is
-            # a no-op.  Valid for any associativity.
-            prev_same_block = np.zeros(total, dtype=bool)
-            prev_same_block[1:] = same_group[1:] & (
-                blocks_grouped[1:] == blocks_grouped[:-1]
-            )
-            prev_leaves = np.zeros(total, dtype=bool)
-            prev_leaves[1:] = leaves_grouped[:-1]
-            provable_grouped = prev_same_block & prev_leaves
-            # Previous-run rule (associativity >= 2 only): compress
-            # each group into runs of equal blocks.  A reference whose
-            # block matches the *previous* run in its group also hits:
-            # at the end of that run its block X was resident and MRU,
-            # and the single intervening run's block Y can evict only
-            # the LRU way — never X (a mid-run flush of Y frees a way,
-            # so re-inserting Y still cannot evict X).  X is no longer
-            # MRU, so these hits keep the LRU touch (pop + reinsert)
-            # instead of skipping it.  Direct-mapped caches lose X the
-            # moment Y is inserted, hence the associativity gate.
-            if caches and caches[0].geometry.associativity >= 2:
-                new_run = ~prev_same_block
-                run_id = np.cumsum(new_run) - 1
-                run_starts = np.flatnonzero(new_run)
-                run_block = blocks_grouped[run_starts]
-                run_group = keys_grouped[run_starts]
-                run_last = np.empty(len(run_starts), dtype=np.int64)
-                run_last[:-1] = run_starts[1:] - 1
-                run_last[-1] = total - 1
-                run_last_leaves = leaves_grouped[run_last]
-                prev_run_ok = np.zeros(len(run_starts), dtype=bool)
-                prev_run_ok[1:] = (
-                    (run_group[1:] == run_group[:-1]) & run_last_leaves[:-1]
-                )
-                prev_run_block = np.zeros_like(run_block)
-                prev_run_block[1:] = run_block[:-1]
-                near_grouped = prev_run_ok[run_id] & (
-                    blocks_grouped == prev_run_block[run_id]
-                )
-                near = np.zeros(total, dtype=bool)
-                near[key_order] = near_grouped
-                near &= eligible
-            else:
-                near = np.zeros(total, dtype=bool)
-            provable = np.zeros(total, dtype=bool)
-            provable[key_order] = provable_grouped
-            provable &= eligible
-            near &= ~provable
-            # Final classes (all masks disjoint, in stream order):
-            #   guaranteed   — pure hits: fetch costs one cycle, load
-            #                  is free, no cache touch (batchable).
-            #   local_store  — store hits: dirty the line, MRU touch.
-            #   near_fetch   — fetch hits: one cycle plus MRU touch.
-            #   near_load    — load hits: MRU touch only.
-            guaranteed = provable & eligible_a
-            local_store = (provable | near) & eligible_b
-            near_fetch = near & is_fetch
-            near_load = near & eligible_a & ~is_fetch
-        else:
-            guaranteed = None
-
-        # The event-driven time-merge needs to know which CPUs each
-        # broadcast stole from (to maintain their merge keys); when it
-        # is active it binds ``stolen`` to a list and ``slow`` records
-        # the victims there.
-        stolen = None
 
         def slow(
             cpu: int, kind_code: int, block: int, shared: bool, clock: float
@@ -697,8 +541,6 @@ class Machine:
             for victim_cpu in outcome.steal_from:
                 clocks[victim_cpu] += 1.0
                 steals[victim_cpu] += 1
-                if stolen is not None:
-                    stolen.append(victim_cpu)
             return clock
 
         if order == "trace" or n == 1:
@@ -707,48 +549,9 @@ class Machine:
             # exercise both).  The shared flag is only needed on the
             # slow path, so it is computed there (fetch misses, flushes
             # never consult it).
-            if guaranteed is not None:
-                # Scatter the flags back to trace order (the hit
-                # guarantee is a property of each CPU's stream, so it
-                # holds under either replay order): 1 = pure fetch hit
-                # (one instruction cycle), 2 = pure load hit (free),
-                # 3 = local store hit (dirty the line, MRU touch),
-                # 4 = fetch hit with MRU touch, 5 = load hit with MRU
-                # touch, 0 = full record body.
-                codes_sorted = np.zeros(total, dtype=np.int64)
-                codes_sorted[guaranteed & is_fetch] = 1
-                codes_sorted[guaranteed & ~is_fetch] = 2
-                codes_sorted[local_store] = 3
-                codes_sorted[near_fetch] = 4
-                codes_sorted[near_load] = 5
-                codes_trace = np.empty(total, dtype=np.int64)
-                codes_trace[order_np] = codes_sorted
-                skips = codes_trace.tolist()
-            else:
-                skips = repeat(0)
-            for cpu, kind_code, block, skip in zip(
-                trace.cpu.tolist(),
-                kind_np.tolist(),
-                blocks_np.tolist(),
-                skips,
+            for cpu, kind_code, block in zip(
+                trace.cpu.tolist(), kind_np.tolist(), blocks_np.tolist()
             ):
-                if skip:
-                    if skip == 1:
-                        clocks[cpu] += 1.0
-                    elif skip == 3:
-                        cache_set = line_sets[cpu][block & set_mask]
-                        cache_set.pop(block)
-                        cache_set[block] = dirty_state
-                    elif skip == 4:
-                        clocks[cpu] += 1.0
-                        cache_set = line_sets[cpu][block & set_mask]
-                        state = cache_set.pop(block)
-                        cache_set[block] = state
-                    elif skip == 5:
-                        cache_set = line_sets[cpu][block & set_mask]
-                        state = cache_set.pop(block)
-                        cache_set[block] = state
-                    continue
                 if kind_code == 0:
                     clocks[cpu] += 1.0
                     if fast_hits:
@@ -794,144 +597,46 @@ class Machine:
             # by processor clock, processing records in the exact
             # lexicographic ``(key, cpu)`` order the legacy engine's
             # heap pops them, where a record's key is the issuing
-            # CPU's clock after its previous record.
+            # CPU's clock after its previous record.  With a handful of
+            # CPUs a linear argmin over the same frozen keys beats heapq
+            # -- no tuple allocation, no sift -- and pops in the
+            # identical lexicographic order.  Each scan also yields the
+            # runner-up key, which bounds how long the chosen CPU may
+            # keep running: keys never change during a burst, so the
+            # current CPU continues while its clock stays at or below
+            # that bound.
             counts = derived.counts
-            if guaranteed is not None:
-                # Event-driven merge.  Statically-proven hits commute
-                # with every other CPU's records: they never touch the
-                # bus, never steal cycles, and never change anything a
-                # remote snoop can observe (line membership and states
-                # are preserved; only LRU order moves, and LRU order
-                # is invisible across caches).  Only the remaining
-                # "event" records -- potential misses, stores, handled
-                # flushes, uncached shared references -- interact
-                # across CPUs, so the merge schedules just those and
-                # applies each event's preceding span of proven hits
-                # lazily: the span's clock cost is its fetch count
-                # (from a prefix-sum table) and its deferred MRU
-                # touches are walked off a per-CPU list.  An event's
-                # legacy key is the clock after the record before it,
-                # which across a span of proven hits is exactly that
-                # prefix-sum -- no record-by-record replay needed.
-                event_mask = ~(
-                    guaranteed | local_store | near_fetch | near_load
-                )
-                if not handles_flush:
-                    # Unhandled flushes are complete no-ops; leaving
-                    # them out of the event set lets the spans run
-                    # through them.
-                    event_mask &= kinds_sorted_np != 3
-                sent_codes = np.zeros(total, dtype=np.int64)
-                sent_codes[local_store] = 4
-                sent_codes[near_fetch] = 5
-                sent_codes[near_load] = 6
-                fetch_prefix_np = derived.fetch_prefix
-                may_steal = protocol.may_steal_cycles
-                cpu_prefix: list[list[int]] = []
-                cpu_events: list[list[int]] = []
-                cpu_event_kinds: list[list[int]] = []
-                cpu_event_blocks: list[list[int]] = []
-                cpu_touches: list[list[tuple[int, int, int]]] = []
-                cpu_fetch_pos: list[list[int]] = []
-                offset = 0
-                for count in counts:
-                    stop = offset + count
-                    idx = np.flatnonzero(event_mask[offset:stop])
-                    k_slice = kinds_sorted_np[offset:stop]
-                    b_slice = blocks_sorted_np[offset:stop]
-                    cpu_events.append(idx.tolist())
-                    cpu_event_kinds.append(k_slice[idx].tolist())
-                    cpu_event_blocks.append(b_slice[idx].tolist())
-                    codes = sent_codes[offset:stop]
-                    sidx = np.flatnonzero(codes)
-                    cpu_touches.append(
-                        list(
-                            zip(
-                                sidx.tolist(),
-                                codes[sidx].tolist(),
-                                b_slice[sidx].tolist(),
-                            )
-                        )
-                    )
-                    prefix_slice = fetch_prefix_np[offset:stop + 1]
-                    cpu_prefix.append(
-                        (prefix_slice - prefix_slice[0]).tolist()
-                    )
-                    if may_steal:
-                        cpu_fetch_pos.append(
-                            np.flatnonzero(is_fetch[offset:stop]).tolist()
-                        )
-                    offset = stop
-                # Per-CPU merge state.  ``positions[cpu]`` is the
-                # first stream record not yet applied; ``clocks[cpu]``
-                # is the true clock (applied costs plus every steal
-                # landed so far); ``keys[cpu]`` is the pending event's
-                # legacy key; ``frontier_keys[cpu]`` is the frozen key
-                # of record ``positions[cpu]`` -- the key it was
-                # (virtually) pushed with, which excludes steals
-                # landed since.
-                positions = [0] * n
-                event_index = [0] * n
-                touch_index = [0] * n
-                next_event = [0] * n
-                keys = [0.0] * n
-                frontier_keys = [0.0] * n
-                infinity = float("inf")
-                active = []
-                for cpu in range(n):
-                    if not counts[cpu]:
-                        continue
-                    active.append(cpu)
-                    events = cpu_events[cpu]
-                    e = events[0] if events else counts[cpu]
-                    next_event[cpu] = e
-                    keys[cpu] = float(cpu_prefix[cpu][e])
-                if may_steal:
-                    stolen = []
-                while active:
-                    best_key = infinity
-                    cpu = -1
-                    for candidate in active:
-                        key = keys[candidate]
-                        if key < best_key:
-                            best_key = key
-                            cpu = candidate
-                    prefix = cpu_prefix[cpu]
-                    position = positions[cpu]
-                    e = next_event[cpu]
-                    clock = clocks[cpu]
-                    cpu_sets = line_sets[cpu]
-                    if e > position:
-                        # Apply the span of proven hits before the
-                        # event: fetch hits cost one cycle each (loads
-                        # and local store hits are free), and the
-                        # deferred MRU touches replay in program
-                        # order.
-                        delta = prefix[e] - prefix[position]
-                        if delta:
-                            clock += delta
-                        touches_list = cpu_touches[cpu]
-                        tp = touch_index[cpu]
-                        tl = len(touches_list)
-                        while tp < tl and touches_list[tp][0] < e:
-                            _, code, block = touches_list[tp]
-                            tp += 1
-                            cache_set = cpu_sets[block & set_mask]
-                            if code == 4:
-                                cache_set.pop(block)
-                                cache_set[block] = dirty_state
-                            else:
-                                state = cache_set.pop(block)
-                                cache_set[block] = state
-                        touch_index[cpu] = tp
-                    if e == counts[cpu]:
-                        clocks[cpu] = clock
-                        frontier_keys[cpu] = infinity
-                        active.remove(cpu)
-                        continue
-                    ev = event_index[cpu]
-                    kind_code = cpu_event_kinds[cpu][ev]
-                    block = cpu_event_blocks[cpu][ev]
+            kinds_sorted = derived.kinds_sorted.tolist()
+            blocks_sorted = derived.blocks_sorted.tolist()
+            cpu_kinds: list[list[int]] = []
+            cpu_blocks: list[list[int]] = []
+            offset = 0
+            for count in counts:
+                cpu_kinds.append(kinds_sorted[offset:offset + count])
+                cpu_blocks.append(blocks_sorted[offset:offset + count])
+                offset += count
+            positions = [0] * n
+            infinity = float("inf")
+            keys = [0.0] * n
+            active = [cpu for cpu in range(n) if counts[cpu]]
+            cpu = active[0]
+            if len(active) > 1:
+                top_clock, top_cpu = 0.0, active[1]
+            else:
+                top_clock, top_cpu = infinity, -1
+            while True:
+                # One burst of the current CPU.
+                stream_kinds = cpu_kinds[cpu]
+                stream_blocks = cpu_blocks[cpu]
+                cpu_sets = line_sets[cpu]
+                length = counts[cpu]
+                position = positions[cpu]
+                clock = clocks[cpu]
+                exhausted = False
+                while True:
+                    kind_code = stream_kinds[position]
+                    block = stream_blocks[position]
+                    position += 1
                     # Same record body as the trace-order loop above.
                     if kind_code == 0:
                         clock += 1.0
@@ -953,7 +658,8 @@ class Machine:
                             else:
                                 clock = slow(
                                     cpu, 1, block,
-                                    shared_low <= block < shared_high, clock,
+                                    shared_low <= block < shared_high,
+                                    clock,
                                 )
                         elif shared_low <= block < shared_high:
                             clock = slow(cpu, 1, block, True, clock)
@@ -974,209 +680,40 @@ class Machine:
                     else:
                         if handles_flush:
                             clock = slow(cpu, 3, block, False, clock)
-                    clocks[cpu] = clock
-                    if may_steal and stolen:
-                        # Replicate the legacy heap's key staleness
-                        # exactly.  A steal lands on the victim's true
-                        # clock immediately, but enters its merge keys
-                        # only from the first record processed after
-                        # the broadcast: keys already pushed stay
-                        # frozen.  The broadcast's merge position is
-                        # this event's key (``best_key``, tie-broken
-                        # by CPU id).
-                        for victim in stolen:
-                            fk = frontier_keys[victim]
-                            if fk > best_key or (
-                                fk == best_key and victim > cpu
-                            ):
-                                # The victim's next record had not yet
-                                # been processed when the broadcast
-                                # ran, so the steal is in every key
-                                # from the following record onwards --
-                                # including the pending event's, if
-                                # any span records remain before it.
-                                if positions[victim] < next_event[victim]:
-                                    keys[victim] += 1.0
-                            else:
-                                # Span records up to the broadcast's
-                                # merge position were already
-                                # (virtually) processed by the legacy
-                                # engine; materialise them, then land
-                                # the steal before the rest.  The new
-                                # frontier is found by fetch count:
-                                # span record ``m``'s key is the
-                                # victim's pre-steal clock plus the
-                                # fetch prefix from the old frontier.
-                                v_prefix = cpu_prefix[victim]
-                                v_pos = positions[victim]
-                                base = v_prefix[v_pos]
-                                pre_clock = clocks[victim] - 1.0
-                                target = int(best_key - pre_clock) + base
-                                if victim < cpu:
-                                    target += 1
-                                if target <= base:
-                                    frontier = v_pos + 1
-                                else:
-                                    frontier = (
-                                        cpu_fetch_pos[victim][target - 1] + 1
-                                    )
-                                advance = v_prefix[frontier] - base
-                                if advance:
-                                    clocks[victim] += advance
-                                touches_list = cpu_touches[victim]
-                                tp = touch_index[victim]
-                                tl = len(touches_list)
-                                victim_sets = line_sets[victim]
-                                while (
-                                    tp < tl
-                                    and touches_list[tp][0] < frontier
-                                ):
-                                    _, code, t_block = touches_list[tp]
-                                    tp += 1
-                                    cache_set = victim_sets[
-                                        t_block & set_mask
-                                    ]
-                                    if code == 4:
-                                        cache_set.pop(t_block)
-                                        cache_set[t_block] = dirty_state
-                                    else:
-                                        state = cache_set.pop(t_block)
-                                        cache_set[t_block] = state
-                                touch_index[victim] = tp
-                                positions[victim] = frontier
-                                frontier_keys[victim] = pre_clock + advance
-                                if frontier < next_event[victim]:
-                                    keys[victim] += 1.0
-                        del stolen[:]
-                    position = e + 1
-                    positions[cpu] = position
-                    ev += 1
-                    event_index[cpu] = ev
-                    events = cpu_events[cpu]
-                    e = events[ev] if ev < len(events) else counts[cpu]
-                    next_event[cpu] = e
-                    frontier_keys[cpu] = clock
-                    keys[cpu] = clock + (prefix[e] - prefix[position])
-            else:
-                # Per-record merge for protocols without the static-
-                # hit contracts (the invalidation-based schemes).
-                # With a handful of CPUs a linear argmin over the same
-                # frozen keys beats heapq -- no tuple allocation, no
-                # sift -- and pops in the identical lexicographic
-                # order.  Each scan also yields the runner-up key,
-                # which bounds how long the chosen CPU may keep
-                # running: keys never change during a burst, so the
-                # current CPU continues while its clock stays at or
-                # below that bound.
-                kinds_sorted = derived.kinds_sorted.tolist()
-                blocks_sorted = derived.blocks_sorted.tolist()
-                cpu_kinds: list[list[int]] = []
-                cpu_blocks: list[list[int]] = []
-                offset = 0
-                for count in counts:
-                    cpu_kinds.append(kinds_sorted[offset:offset + count])
-                    cpu_blocks.append(blocks_sorted[offset:offset + count])
-                    offset += count
-                positions = [0] * n
-                infinity = float("inf")
-                keys = [0.0] * n
-                active = [cpu for cpu in range(n) if counts[cpu]]
-                cpu = active[0]
-                if len(active) > 1:
-                    top_clock, top_cpu = 0.0, active[1]
+                    if position == length:
+                        exhausted = True
+                        break
+                    if top_clock < clock or (
+                        top_clock == clock and top_cpu < cpu
+                    ):
+                        break
+                positions[cpu] = position
+                clocks[cpu] = clock
+                if exhausted:
+                    active.remove(cpu)
+                    if not active:
+                        break
                 else:
-                    top_clock, top_cpu = infinity, -1
-                while True:
-                    # One burst of the current CPU.
-                    stream_kinds = cpu_kinds[cpu]
-                    stream_blocks = cpu_blocks[cpu]
-                    cpu_sets = line_sets[cpu]
-                    length = counts[cpu]
-                    position = positions[cpu]
-                    clock = clocks[cpu]
-                    exhausted = False
-                    while True:
-                        kind_code = stream_kinds[position]
-                        block = stream_blocks[position]
-                        position += 1
-                        # Same record body as the trace-order loop
-                        # above.
-                        if kind_code == 0:
-                            clock += 1.0
-                            if fast_hits:
-                                cache_set = cpu_sets[block & set_mask]
-                                state = cache_set.pop(block, 0)
-                                if state:
-                                    cache_set[block] = state
-                                else:
-                                    clock = slow(cpu, 0, block, False, clock)
-                            else:
-                                clock = slow(cpu, 0, block, False, clock)
-                        elif kind_code == 1:
-                            if fast_shared_loads:
-                                cache_set = cpu_sets[block & set_mask]
-                                state = cache_set.pop(block, 0)
-                                if state:
-                                    cache_set[block] = state
-                                else:
-                                    clock = slow(
-                                        cpu, 1, block,
-                                        shared_low <= block < shared_high,
-                                        clock,
-                                    )
-                            elif shared_low <= block < shared_high:
-                                clock = slow(cpu, 1, block, True, clock)
-                            elif fast_hits:
-                                cache_set = cpu_sets[block & set_mask]
-                                state = cache_set.pop(block, 0)
-                                if state:
-                                    cache_set[block] = state
-                                else:
-                                    clock = slow(cpu, 1, block, False, clock)
-                            else:
-                                clock = slow(cpu, 1, block, False, clock)
-                        elif kind_code == 2:
-                            clock = slow(
-                                cpu, 2, block,
-                                shared_low <= block < shared_high, clock,
-                            )
-                        else:
-                            if handles_flush:
-                                clock = slow(cpu, 3, block, False, clock)
-                        if position == length:
-                            exhausted = True
-                            break
-                        if top_clock < clock or (
-                            top_clock == clock and top_cpu < cpu
-                        ):
-                            break
-                    positions[cpu] = position
-                    clocks[cpu] = clock
-                    if exhausted:
-                        active.remove(cpu)
-                        if not active:
-                            break
-                    else:
-                        keys[cpu] = clock
-                    # Re-select: argmin of (key, cpu) plus the
-                    # runner-up.  ``active`` stays sorted, so strict
-                    # ``<`` comparisons resolve ties toward the lower
-                    # CPU id, matching the heap's tuple ordering.
-                    best_key = infinity
-                    best_cpu = -1
-                    top_clock = infinity
-                    top_cpu = -1
-                    for candidate in active:
-                        key = keys[candidate]
-                        if key < best_key:
-                            top_clock = best_key
-                            top_cpu = best_cpu
-                            best_key = key
-                            best_cpu = candidate
-                        elif key < top_clock:
-                            top_clock = key
-                            top_cpu = candidate
-                    cpu = best_cpu
+                    keys[cpu] = clock
+                # Re-select: argmin of (key, cpu) plus the
+                # runner-up.  ``active`` stays sorted, so strict
+                # ``<`` comparisons resolve ties toward the lower
+                # CPU id, matching the heap's tuple ordering.
+                best_key = infinity
+                best_cpu = -1
+                top_clock = infinity
+                top_cpu = -1
+                for candidate in active:
+                    key = keys[candidate]
+                    if key < best_key:
+                        top_clock = best_key
+                        top_cpu = best_cpu
+                        best_key = key
+                        best_cpu = candidate
+                    elif key < top_clock:
+                        top_clock = key
+                        top_cpu = candidate
+                cpu = best_cpu
 
         # Write the accumulators back.
         for index in range(n):

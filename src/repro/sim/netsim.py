@@ -131,7 +131,8 @@ class OmegaNetworkSimulator:
         stages = _require_int("stages", stages, 1)
         self.stages = stages
         self.processors = 2**stages
-        self.seed = seed
+        # Any integer seeds the stream, negative ones included.
+        self.seed = _require_int("seed", seed)
 
     def predicted(self, think_mean: float, message_words: int):
         """The paper's fixed point for this workload (for comparison)."""
@@ -328,13 +329,13 @@ class OmegaNetworkSimulator:
         return survivors
 
 
-def _require_int(name: str, value, minimum: int) -> int:
+def _require_int(name: str, value, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(
             f"{name} must be an integer, got {type(value).__name__} "
             f"{value!r}"
         )
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return operator.index(value)
 

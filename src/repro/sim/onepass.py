@@ -34,21 +34,23 @@ alone — the per-geometry work factors cleanly:
    spans with fetch prefix sums and merges events across CPUs in the
    exact ``(key, cpu)`` order of ``Machine``'s engines — the resulting
    :class:`~repro.sim.machine.SimulationResult` statistics are
-   **bit-identical** to a per-config ``Machine.run``
+   **bit-identical** to a per-config legacy replay
    (``tests/sim/test_onepass.py`` enforces ``==`` on every counter and
    float).
 
+``Machine.run`` replays a single configuration through the same
+engines, as a family of one (:func:`_replay_family`).
+
 Exactness requires integral operation costs (so batched clock
-advances equal record-by-record ones in float arithmetic — the same
-gate ``Machine``'s static hit analysis applies).  Dragon and WTI —
+advances equal record-by-record ones in float arithmetic).  Dragon and WTI —
 whose sharing traffic couples the CPUs' cache contents — take the
 epoch-partitioned family engine in :mod:`repro.sim.family` instead
 (same one-traversal cost structure, different factorisation).  Any
-remaining case — other coupled protocols, non-integral cost tables,
-associativities outside the run-collapse theorem —
-:func:`run_geometry_family` transparently falls back to one exact
-``Machine.run`` per configuration; :func:`family_support` names the
-engine or the structured fallback reason.
+remaining case — other coupled protocols, protocol subclasses,
+non-integral cost tables, associativities outside the run-collapse
+theorem — :func:`run_geometry_family` transparently falls back to one
+exact ``Machine.run`` per configuration; :func:`family_support` names
+the engine or the structured fallback reason.
 """
 
 from __future__ import annotations
@@ -68,7 +70,12 @@ from repro.sim.machine import (
     SimulationConfig,
     SimulationResult,
 )
-from repro.sim.protocols import HYBRID_PROTOCOLS, Protocol, protocol_class
+from repro.sim.protocols import (
+    HYBRID_PROTOCOLS,
+    Protocol,
+    is_registered_class,
+    protocol_class,
+)
 from repro.sim.segment import segment_events, segment_reason
 from repro.trace.derived import DerivedColumns, derived_columns
 from repro.trace.records import Trace
@@ -81,10 +88,10 @@ __all__ = [
     "supports_onepass",
 ]
 
-#: Protocols the one-pass engine handles.  Membership is by name on
-#: purpose: beyond the contract flags, the classifier hard-codes each
+#: Protocols the one-pass engine handles.  Membership is by name, and
+#: a class must be the registered one: the classifier hard-codes each
 #: protocol's outcome mapping (which operation a miss, through, or
-#: flush emits), so satisfying the flags alone is not sufficient.
+#: flush emits), so neither the contract flags nor the name suffice.
 ONEPASS_PROTOCOLS = ("base", "nocache", "swflush")
 
 # Event opcodes (classifier -> accounting), indexing _EVENT_OPERATIONS.
@@ -162,6 +169,14 @@ def family_support(
             f"{bus_arbitration_cycles:g} cycles is non-integral and "
             "cannot be folded exactly into the one-pass merges",
         )
+    if not isinstance(protocol, str) and not is_registered_class(protocol):
+        # The engines hard-code the registered protocol's outcome
+        # mapping, so a subclass would silently run its parent's rules.
+        return (
+            "fallback",
+            f"protocol:{protocol.__name__} is not the registered {name!r} "
+            "class and only per-config replay runs its own code",
+        )
     if name in ONEPASS_PROTOCOLS:
         cls = protocol_class(name) if isinstance(protocol, str) else protocol
         if not (
@@ -230,7 +245,6 @@ def run_geometry_family(
     cpus: int | None = None,
     bus_discipline: str = "fcfs",
     bus_arbitration_cycles: float = 0.0,
-    wti_merge: str = "auto",
 ) -> dict[int, SimulationResult]:
     """Simulate one protocol at every cache size in a single pass.
 
@@ -254,16 +268,14 @@ def run_geometry_family(
             the family.  Integral fcfs overhead is folded into every
             merge's service term exactly as ``TimedBus`` applies it;
             non-integral overhead takes the loud per-config fallback.
-        wti_merge: WTI simulated-time merge selection, passed through
-            to :func:`repro.sim.family.run_coupled_family`
-            (``"auto"``/``"scan"``/``"loop"``).
 
     Returns:
         ``{cache_bytes: SimulationResult}`` with statistics
         bit-identical to ``Machine(protocol, config, costs).run(trace,
-        order=order)`` per configuration.  Fast-path results carry
-        ``engine="onepass"`` and share the family's wall time; fallback
-        results come straight from ``Machine.run``.
+        order=order, engine="legacy")`` per configuration.  Fast-path
+        results carry ``engine="onepass"`` or ``"epoch"`` and share the
+        family's wall time; fallback results come straight from
+        ``Machine.run``.
 
     Raises:
         ValueError: for an unknown ``order`` or no cache sizes.
@@ -304,21 +316,40 @@ def run_geometry_family(
             for size, machine in machines.items()
         }
 
-    name = _protocol_name(protocol)
+    return _replay_family(
+        engine, _protocol_name(protocol), trace, configs, table, order
+    )
+
+
+def _replay_family(
+    engine: str,
+    name: str,
+    trace: Trace,
+    configs: dict[int, SimulationConfig],
+    costs: CostTable,
+    order: str,
+) -> dict[int, SimulationResult]:
+    """Run a validated geometry family through ``engine``.
+
+    Shared by :func:`run_geometry_family` and ``Machine.run``, which
+    replays one configuration as a family of one.  ``engine`` is the
+    ``"onepass"`` or ``"epoch"`` verdict of :func:`family_support`;
+    every result carries its caller's config, and the replay is
+    reported once whatever the family's size.
+    """
     if engine == "epoch":
-        return run_coupled_family(
-            name, trace, configs, table, order, wti_merge=wti_merge
-        )
+        return run_coupled_family(name, trace, configs, costs, order)
 
     started = time.perf_counter()
     block_shift = next(iter(configs.values())).geometry.block_shift
     derived = derived_columns(trace, block_shift)
-    geometries = [configs[size].geometry for size in configs]
+    geometries = [config.geometry for config in configs.values()]
     handled_flushes = name == "swflush" and bool(
         np.count_nonzero(trace.kind == 3)
     )
     if (
-        segment_reason(name, table, associativity, trace) is None
+        segment_reason(name, costs, geometries[0].associativity, trace)
+        is None
         and not handled_flushes
     ):
         # The segment-scan kernel classifies the whole family without
@@ -333,18 +364,12 @@ def run_geometry_family(
     else:
         events = _classify(name, derived, trace.cpus, geometries)
     views = _cpu_views(derived, trace.cpus)
-    results: dict[int, SimulationResult] = {}
-    for index, size in enumerate(configs):
-        results[size] = _account(
-            name,
-            trace,
-            configs[size],
-            table,
-            order,
-            derived,
-            views,
-            events[index],
+    results = {
+        size: _account(
+            name, trace, config, costs, order, derived, views, events[index]
         )
+        for index, (size, config) in enumerate(configs.items())
+    }
     note_replay(len(trace), "onepass")
     wall = time.perf_counter() - started
     for result in results.values():
@@ -389,8 +414,7 @@ def _classify(
     if not handles_flush:
         touches &= kinds != 3
 
-    # Per-geometry prefilter: the same-block rule of ``Machine``'s
-    # static hit analysis, evaluated at each geometry's own set mask.
+    # Per-geometry prefilter, evaluated at each geometry's own set mask.
     # A reference whose most recent same-set touch was the same block
     # (and left it resident) finds the block resident and already
     # most-recently-used, so its LRU touch — pop and reinsert — is the

@@ -38,6 +38,7 @@ __all__ = [
     "Protocol",
     "SoftwareFlushProtocol",
     "WriteThroughInvalidateProtocol",
+    "is_registered_class",
     "protocol_class",
 ]
 
@@ -95,6 +96,16 @@ def protocol_class(name: str) -> type[Protocol]:
     except KeyError:
         known = ", ".join(sorted(PROTOCOLS))
         raise KeyError(f"unknown protocol {name!r}; known: {known}") from None
+
+
+def is_registered_class(cls: type[Protocol]) -> bool:
+    """Whether ``cls`` is the class registered under its own ``name``.
+
+    A subclass (a mutant, an oracle shadow) keeps its parent's name but
+    not its code, so engines that hard-code a protocol's outcomes must
+    refuse it.
+    """
+    return PROTOCOLS.get(cls.name) is cls
 
 
 def protocol_aliases(name: str) -> tuple[str, ...]:

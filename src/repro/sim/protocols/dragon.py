@@ -93,7 +93,6 @@ class DragonProtocol(Protocol):
     name = "dragon"
     read_hit_is_free = True
     remote_traffic_preserves_residency = True
-    private_store_hit_is_local = True
     may_steal_cycles = True
 
     def __init__(self, caches, is_shared_block):

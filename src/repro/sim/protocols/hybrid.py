@@ -136,7 +136,6 @@ class HybridProtocol(Protocol):
     resets_on_use: bool = True
 
     remote_traffic_preserves_residency = False
-    private_store_hit_is_local = True
     may_steal_cycles = True
 
     def __init__(self, caches, is_shared_block):

@@ -53,7 +53,7 @@ class Protocol(ABC):
     #: as if the program had been compiled without them.
     handles_flush: bool = False
 
-    #: Fast-path contract for the machine's columnar replay engine.
+    #: Fast-path contract for the machine's replay engines.
     #: True asserts that for a *resident* block, a non-STORE access is
     #: exactly a ``Cache.lookup`` LRU touch returning :data:`NO_ACTION`
     #: — no state change, no operations, no per-access counters.  The
@@ -73,41 +73,32 @@ class Protocol(ABC):
     #: True asserts that no protocol action triggered by one CPU ever
     #: *removes* a line from another CPU's cache (state changes and
     #: word updates are fine; invalidations are not).  Together with
-    #: :attr:`read_hit_is_free` this lets the columnar engine prove
-    #: some fetches are hits statically — a fetch to the same block as
-    #: the immediately preceding reference of the same CPU must hit,
-    #: because nothing between the two can evict the line — and batch
-    #: them as pure clock advances.  True for Base, Dragon (write
-    #: broadcasts update in place), No-Cache, and Software-Flush
-    #: (flushes are local); False for the invalidation protocols
-    #: (WTI, directory).
+    #: :attr:`read_hit_is_free` and :attr:`store_hit_is_local` this
+    #: makes a protocol geometry-local — each CPU's cache contents
+    #: evolve from its own stream alone — which the segment-scan kernel
+    #: checks (``repro.sim.segment.segment_reason``) and the one-pass
+    #: family engine assumes.  True for Base, Dragon (write broadcasts
+    #: update in place), No-Cache, and Software-Flush (flushes are
+    #: local); False for the invalidation protocols (WTI, directory).
     remote_traffic_preserves_residency: bool = False
 
     #: True asserts a store that hits a resident block does nothing
     #: but set that line's state to DIRTY (with the usual LRU touch)
     #: and return :data:`NO_ACTION` — no bus work, no counters, no
-    #: effect on other caches.  The columnar engine then applies
-    #: statically-proven store hits inline.  True for Base,
-    #: Software-Flush, and No-Cache (whose uncached shared stores are
-    #: never "hits"); False for the snooping protocols, whose store
-    #: hits may broadcast or invalidate.
+    #: effect on other caches.  True for Base, Software-Flush, and
+    #: No-Cache (whose uncached shared stores are never "hits"); False
+    #: for the snooping protocols, whose store hits may broadcast or
+    #: invalidate.
     store_hit_is_local: bool = False
-
-    #: Weaker form of :attr:`store_hit_is_local`: it holds provided
-    #: the block is outside the shared region AND no other CPU ever
-    #: references it in the whole trace (so the line is provably in an
-    #: exclusive state and no snoop interaction can trigger).  Dragon
-    #: satisfies this — an exclusive-state write hit just dirties the
-    #: line — even though a store hit on a shared line broadcasts.
-    private_store_hit_is_local: bool = False
 
     #: True if any access can return a non-empty ``steal_from`` (snoop
     #: updates stealing processor cycles).  Steals mutate a victim's
     #: clock while its time-merge key stays frozen, and the legacy
     #: engine folds a mid-run steal into the victim's key at its next
-    #: per-record re-push — so the columnar engine may batch-consume
-    #: runs of proven hits between merge-order checks only when this
-    #: is False, and must otherwise step records singly.
+    #: per-record re-push — so an engine that advances runs of hits
+    #: between merge-order checks must replay the steals explicitly
+    #: (the epoch engine does for Dragon) or require this False (the
+    #: segment-scan kernel does).
     may_steal_cycles: bool = False
 
     def __init__(

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.operations import CostTable, Operation
-from repro.sim.protocols import Protocol, protocol_class
+from repro.sim.protocols import Protocol, is_registered_class, protocol_class
 from repro.trace.derived import DerivedColumns
 from repro.trace.records import Trace
 
@@ -126,6 +126,13 @@ def segment_reason(
     name = protocol if isinstance(protocol, str) else protocol.name
     if name not in SEGMENT_PROTOCOLS:
         return f"protocol:{name} is not geometry-local"
+    if not isinstance(protocol, str) and not is_registered_class(protocol):
+        # The kernel hard-codes the registered outcomes; a subclass
+        # would silently run its parent's rules.
+        return (
+            f"protocol:{protocol.__name__} is not the registered "
+            f"{name!r} class"
+        )
     cls = protocol_class(name) if isinstance(protocol, str) else protocol
     if not (
         cls.read_hit_is_free

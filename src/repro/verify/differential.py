@@ -3,34 +3,33 @@
 For each fuzzed case and protocol, five checks run in order (first
 failure wins for that protocol):
 
-1. **Engine diff** — the columnar and legacy engines must produce
-   *identical* statistics (every counter, every per-CPU float), for
-   both replay orders.
-2. **Invariants** — the columnar results must satisfy the global
-   conservation laws of :mod:`repro.verify.invariants`.
+1. **Engine diff** — the default engine (a family of one where
+   :func:`repro.sim.family_support` accepts the run, the columnar
+   loop otherwise) and the legacy engine must produce *identical*
+   statistics (every counter, every per-CPU float), for both replay
+   orders.
+2. **Invariants** — the default engine's results must satisfy the
+   global conservation laws of :mod:`repro.verify.invariants`.
 3. **One-pass diff** — for protocols with a family engine
    (:func:`repro.sim.supports_onepass`), a
    :func:`repro.sim.run_geometry_family` call covering the case's
    cache size plus a 4x larger one must engage the one-pass or epoch
-   engine, reproduce the columnar statistics exactly at the case's
+   engine, reproduce the legacy statistics exactly at the case's
    size, and satisfy the invariants at the larger size — both replay
    orders.
 3b. **Segment diff** — where :func:`repro.sim.segment_reason` declares
    the segment-scan kernel exact, ``Machine.run(engine="segment")``
-   must reproduce the columnar statistics bit-for-bit.
-3c. **Scan diff** — WTI's vectorized scan merge
-   (``wti_merge="scan"``) must reproduce the retained inlined
-   reference merge (``wti_merge="loop"``) bit-for-bit at the case's
-   size (time order only — the scan never runs in trace order).
+   must reproduce the default engine's statistics bit-for-bit.
 4. **Oracle shadow** — the protocol re-runs with every fast-path
    contract flag disabled while a per-line reference state machine
    (:mod:`repro.verify.oracles`) validates each transition and then
    reconciles its independently derived counters with the result.
 5. **Shadow diff** — the shadowed run's statistics must equal the
-   unshadowed columnar run's.  The shadow took the everything-is-slow
-   path, so this differentially validates the fast-path contract
-   flags (``read_hit_is_free``, ``store_hit_is_local``, …) and the
-   static hit analysis they enable.
+   unshadowed default run's.  The shadow is a protocol subclass, so
+   it takes the columnar loop's everything-is-slow path, and this
+   differentially validates the fast-path contract flags
+   (``read_hit_is_free``, ``store_hit_is_local``, …) and the family
+   engines they admit.
 6. **Discipline sweep** — the case re-runs on the deferred-grant
    arbitrated engine once per requested bus discipline.  Every run
    must satisfy the conservation invariants; for the geometry-local
@@ -125,7 +124,7 @@ class FuzzFailure:
 
     ``check`` identifies the failing stage: ``engine-diff:<order>``,
     ``invariants:<order>``, ``onepass-diff:<order>``,
-    ``segment-diff:<order>``, ``scan-diff``, ``oracle``,
+    ``segment-diff:<order>``, ``oracle``,
     ``shadow-diff``, ``discipline:<name>``, or ``model-band``.
     """
 
@@ -294,14 +293,15 @@ def _onepass_divergence(
     config: SimulationConfig,
     protocol: str,
     order: str,
-    columnar: SimulationResult,
+    legacy: SimulationResult,
 ) -> str | None:
-    """Why the one-pass family diverges from ``columnar`` (None = ok).
+    """Why the one-pass family diverges from ``legacy`` (None = ok).
 
     The family spans the case's cache size plus a 4x larger one so the
     incremental per-geometry prefilter actually runs; the case size is
-    compared bit-for-bit against the columnar result and the extra
-    size is invariant-checked.
+    compared bit-for-bit against the legacy result (the default
+    ``Machine.run`` replays through the same family engines, so it
+    would prove nothing) and the extra size is invariant-checked.
     """
     sizes = (config.cache_bytes, config.cache_bytes * 4)
     family = run_geometry_family(
@@ -313,15 +313,15 @@ def _onepass_divergence(
         order=order,
     )
     run = family[config.cache_bytes]
-    if run.engine not in ("onepass", "epoch", "epoch-scan"):
+    if run.engine not in ("onepass", "epoch"):
         return (
             f"fast path not engaged (engine={run.engine!r}) for a "
             "supported protocol"
         )
     left = stats_signature(run)
-    right = stats_signature(columnar)
+    right = stats_signature(legacy)
     if left != right:
-        return "one-pass family vs columnar: " + _describe_divergence(
+        return "one-pass family vs legacy: " + _describe_divergence(
             left, right
         )
     try:
@@ -348,38 +348,6 @@ def _segment_divergence(
     right = stats_signature(columnar)
     if left != right:
         return "segment vs columnar: " + _describe_divergence(left, right)
-    return None
-
-
-def _scan_divergence(
-    trace: Trace, config: SimulationConfig, protocol: str
-) -> str | None:
-    """Why WTI's scan merge diverges from the inlined loop (None = ok).
-
-    Runs the epoch family twice at the case's size — once with the
-    vectorized scan merge, once forcing the retained reference loop —
-    and requires identical statistics.  (The scan may legally fall
-    back to the loop when it finds no fixed point; the comparison is
-    then trivially clean, which is the intended contract.)
-    """
-    sizes = (config.cache_bytes,)
-    kwargs = dict(
-        block_bytes=config.block_bytes,
-        associativity=config.associativity,
-        order="time",
-    )
-    scan = run_geometry_family(
-        protocol, trace, sizes, wti_merge="scan", **kwargs
-    )[config.cache_bytes]
-    loop = run_geometry_family(
-        protocol, trace, sizes, wti_merge="loop", **kwargs
-    )[config.cache_bytes]
-    left = stats_signature(scan)
-    right = stats_signature(loop)
-    if left != right:
-        return "scan merge vs inlined loop: " + _describe_divergence(
-            left, right
-        )
     return None
 
 
@@ -503,7 +471,7 @@ def _check_protocol(
             protocol, associativity=case.config.associativity
         ):
             message = _onepass_divergence(
-                case.trace, case.config, protocol, order, columnar
+                case.trace, case.config, protocol, order, legacy
             )
             if message is not None:
                 return failure(f"onepass-diff:{order}", message), None
@@ -522,13 +490,6 @@ def _check_protocol(
                 return failure(f"segment-diff:{order}", message), None
         if order == "time":
             time_result = columnar
-
-    if protocol == "wti" and supports_onepass(
-        protocol, associativity=case.config.associativity
-    ):
-        message = _scan_divergence(case.trace, case.config, protocol)
-        if message is not None:
-            return failure("scan-diff", message), None
 
     try:
         shadowed = oracle_run(case.trace, case.config, protocol)
@@ -626,9 +587,9 @@ def _failure_predicate(
         order = check.split(":", 1)[1]
 
         def predicate(trace: Trace) -> bool:
-            columnar = _run(trace, config, protocol, order)
+            legacy = _run(trace, config, protocol, order, "legacy")
             return (
-                _onepass_divergence(trace, config, protocol, order, columnar)
+                _onepass_divergence(trace, config, protocol, order, legacy)
                 is not None
             )
 
@@ -651,12 +612,6 @@ def _failure_predicate(
                 _segment_divergence(trace, config, protocol, order, columnar)
                 is not None
             )
-
-        return predicate
-    if check == "scan-diff":
-
-        def predicate(trace: Trace) -> bool:
-            return _scan_divergence(trace, config, protocol) is not None
 
         return predicate
     if check.startswith("discipline:"):

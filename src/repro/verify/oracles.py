@@ -4,9 +4,10 @@ The oracle mechanism has two halves:
 
 * :func:`shadow_protocol` wraps a real protocol class in a dynamically
   built :class:`~repro.sim.protocols.interface.Protocol` subclass that
-  leaves **every fast-path contract flag False**.  The replay engine
-  therefore routes every single record through ``access()``/``flush()``
-  — no inline hit probes, no static hit analysis — and the wrapper
+  leaves **every fast-path contract flag False** and is not the
+  registered class, so no family engine takes it.  The columnar replay
+  loop therefore routes every single record through
+  ``access()``/``flush()`` — no inline hit probes — and the wrapper
   hands each call plus the caches' post-state to an oracle.  (Because
   the statistics must still be byte-identical to an unshadowed run,
   the shadow run doubles as a differential test of the contract flags

@@ -113,8 +113,10 @@ class TestConfigValidation:
         assert validate_discipline("fcfs") == "fcfs"
 
     def test_default_config_keeps_the_columnar_engine(self, case):
+        # The default columnar engine replays a family protocol as a
+        # family of one; only a non-fcfs discipline changes that.
         run = Machine("base", case.config).run(case.trace)
-        assert run.engine == "columnar"
+        assert run.engine == "onepass"
 
     def test_non_fcfs_forces_the_arbitrated_engine(self, case):
         config = dataclasses.replace(
@@ -148,10 +150,11 @@ class TestArbitratedEngine:
             bus_arbitration_cycles=2.0,
         )
         run = Machine(protocol, config).run(case.trace)
-        # fcfs + integral overhead folds into the synchronous columnar
-        # grants (labelled distinctly); every other discipline needs
-        # deferred grants.
-        expected = "columnar+arb" if discipline == "fcfs" else "arbitrated"
+        # fcfs + integral overhead folds into the family engines'
+        # synchronous grants; every other discipline needs deferred
+        # grants.
+        family = "onepass" if protocol == "swflush" else "epoch"
+        expected = family if discipline == "fcfs" else "arbitrated"
         assert run.engine == expected
         check_result_invariants(run, trace=case.trace)
         assert run.bus_arbitration_cycles > 0.0

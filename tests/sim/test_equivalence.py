@@ -1,15 +1,21 @@
-"""Columnar-vs-legacy replay engine equivalence.
+"""Default-vs-legacy replay engine equivalence.
 
-The columnar engine in ``Machine._run_columnar`` is an optimisation,
-not a re-specification: for every protocol and both replay orders it
-must produce statistics identical — including exact float clocks — to
-the original record loop kept as ``Machine._run_legacy``.
+The default engine is an optimisation, not a re-specification: for
+every protocol and both replay orders it must produce statistics
+identical — including exact float clocks — to the original record loop
+kept as ``Machine._run_legacy``.  The default replays a family protocol
+as a family of one (``tests/sim/test_onepass.py`` and
+``tests/sim/test_family.py`` cover those engines in depth) and every
+other run through the columnar loop in ``Machine._run_columnar``;
+``TestColumnarLoop`` pins the loop on the inputs that still reach it.
 """
 
 import pytest
 
+from repro.core.operations import CostTable, Operation, OperationCost
 from repro.sim import Machine, SimulationConfig
 from repro.trace import TraceConfig, generate_trace
+from tests.verify.test_mutation import StingyDragon
 
 PROTOCOLS = [
     "base",
@@ -68,10 +74,9 @@ class TestColumnarMatchesLegacy:
         legacy = machine.run(seeded_trace, order=order, engine="legacy")
         assert stats_dict(columnar) == stats_dict(legacy)
 
-    # The static hit analysis has geometry-dependent rules (the
-    # previous-run rule only holds for associativity >= 2), so the
-    # engines must also agree on direct-mapped and highly-associative
-    # caches, and on the default configuration the benchmarks use.
+    # The engines must also agree on direct-mapped and
+    # highly-associative caches, and on the default configuration the
+    # benchmarks use.
     @pytest.mark.parametrize(
         "geometry",
         [
@@ -113,6 +118,51 @@ class TestColumnarMatchesLegacy:
     def test_rejects_unknown_engine(self, seeded_trace):
         with pytest.raises(ValueError, match="engine"):
             Machine("base", CONFIG).run(seeded_trace, engine="vectorised")
+
+
+def fractional_costs():
+    costs = dict(CostTable.bus().items())
+    costs[Operation.CLEAN_MISS_MEMORY] = OperationCost(
+        cpu_cycles=19.5, channel_cycles=19.5
+    )
+    return CostTable(costs, name="fractional")
+
+
+class TestColumnarLoop:
+    """The inputs no family engine accepts keep the columnar loop."""
+
+    @staticmethod
+    def assert_columnar_matches_legacy(trace, machine):
+        for order in ("time", "trace"):
+            columnar = machine.run(trace, order=order)
+            assert columnar.engine == "columnar"
+            legacy = machine.run(trace, order=order, engine="legacy")
+            assert stats_dict(columnar) == stats_dict(legacy)
+            assert columnar.protocol_stats == legacy.protocol_stats
+
+    @pytest.mark.parametrize("protocol", ["dragon", "wti"])
+    def test_coupled_four_way(self, seeded_trace, protocol):
+        config = SimulationConfig(
+            cache_bytes=16384, block_bytes=16, associativity=4
+        )
+        self.assert_columnar_matches_legacy(
+            seeded_trace, Machine(protocol, config)
+        )
+
+    @pytest.mark.parametrize("protocol", ["base", "swflush", "dragon", "wti"])
+    def test_non_integral_costs(self, seeded_trace, protocol):
+        self.assert_columnar_matches_legacy(
+            seeded_trace, Machine(protocol, CONFIG, fractional_costs())
+        )
+
+    def test_mutant_class_runs_its_own_code(self, seeded_trace):
+        machine = Machine(StingyDragon, CONFIG)
+        self.assert_columnar_matches_legacy(seeded_trace, machine)
+        mutant = machine.run(seeded_trace)
+        real = Machine("dragon", CONFIG).run(seeded_trace)
+        assert real.engine == "epoch"
+        assert sum(cpu.stolen_cycles for cpu in real.cpus) > 0
+        assert sum(cpu.stolen_cycles for cpu in mutant.cpus) == 0
 
 
 class TestOrderEquivalence:

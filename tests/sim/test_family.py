@@ -1,11 +1,13 @@
-"""Epoch-partitioned Dragon/WTI families vs per-config ``Machine.run``.
+"""Epoch-partitioned Dragon/WTI families vs the legacy per-config replay.
 
 ``run_coupled_family`` is an optimisation, not a re-specification: for
 both geometry-coupled snoopy protocols, every replay order, and every
 geometry the epoch engine supports, it must produce statistics exactly
 equal — float clocks, bus grants, steals, and the protocol's own
-counters — to one ``Machine.run`` per configuration, while traversing
-the trace once per family.
+counters — to one legacy ``Machine.run`` per configuration, while
+traversing the trace once per family.  The default ``Machine.run``
+replays these protocols through the same epoch engine, so it is no
+reference.
 """
 
 import numpy as np
@@ -80,7 +82,9 @@ def assert_family_matches_machine(
             block_bytes=block_bytes,
             associativity=associativity,
         )
-        reference = Machine(protocol, config).run(trace, order=order)
+        reference = Machine(protocol, config).run(
+            trace, order=order, engine="legacy"
+        )
         assert stats_dict(family[size]) == stats_dict(reference), (
             f"{protocol} {order} b{block_bytes} a{associativity} {size}"
         )
@@ -130,7 +134,9 @@ class TestEpochMatchesMachine:
         restricted = seeded_trace.restricted_to(2)
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
-            reference = Machine(protocol, config).run(restricted)
+            reference = Machine(protocol, config).run(
+                restricted, engine="legacy"
+            )
             assert stats_dict(family[size]) == stats_dict(reference)
             assert family[size].protocol_stats == reference.protocol_stats
 
@@ -217,7 +223,7 @@ class TestEpochProperties:
                         cache_bytes=size, block_bytes=16, associativity=2
                     )
                     reference = Machine(protocol, config).run(
-                        trace, order=order
+                        trace, order=order, engine="legacy"
                     )
                     assert stats_dict(family[size]) == stats_dict(reference)
                     assert (
@@ -241,6 +247,8 @@ class TestEpochProperties:
                 config = SimulationConfig(
                     cache_bytes=size, block_bytes=16, associativity=1
                 )
-                reference = Machine(protocol, config).run(trace)
+                reference = Machine(protocol, config).run(
+                    trace, engine="legacy"
+                )
                 assert stats_dict(family[size]) == stats_dict(reference)
                 assert family[size].protocol_stats == reference.protocol_stats

@@ -35,6 +35,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{message}$"):
             OmegaNetworkSimulator(stages)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.5, "seed must be an integer, got float 1.5"),
+            ("3", "seed must be an integer, got str '3'"),
+            (None, "seed must be an integer, got NoneType None"),
+            (True, "seed must be an integer, got bool True"),
+        ],
+    )
+    def test_rejects_bad_seed_by_name(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OmegaNetworkSimulator(3, seed=seed)
+
+    def test_negative_and_numpy_seeds_are_valid(self):
+        run = OmegaNetworkSimulator(2, seed=-7).run(4.0, 2, 200)
+        again = OmegaNetworkSimulator(2, seed=-7).run(4.0, 2, 200)
+        assert run == again
+        assert OmegaNetworkSimulator(2, seed=np.int64(5)).seed == 5
+        assert type(OmegaNetworkSimulator(2, seed=np.int64(5)).seed) is int
+
 
 class TestRunValidation:
     @pytest.mark.parametrize(

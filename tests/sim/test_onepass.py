@@ -1,10 +1,13 @@
-"""One-pass geometry-family engine vs per-config ``Machine.run``.
+"""One-pass geometry-family engine vs the legacy per-config replay.
 
 ``run_geometry_family`` is an optimisation, not a re-specification:
 for every geometry-local protocol, replay order, and geometry family
 it must produce statistics identical — including exact float clocks
-and bus grants — to one ``Machine.run`` per configuration, while
-traversing the trace once per family instead of once per cell.
+and bus grants — to one legacy ``Machine.run`` per configuration,
+while traversing the trace once per family instead of once per cell.
+The default ``Machine.run`` replays a family protocol as a family of
+one, so the references here are ``engine="legacy"``: comparing the
+family with the default engine would compare it with itself.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.operations import CostTable, Operation, OperationCost
 from repro.obs.metrics import fallback_counters, replay_counters
 from repro.sim import (
+    FAMILY_PROTOCOLS,
     ONEPASS_PROTOCOLS,
     Machine,
     SimulationConfig,
@@ -22,9 +26,11 @@ from repro.sim import (
     run_geometry_family,
     supports_onepass,
 )
+from repro.sim.protocols.swflush import SoftwareFlushProtocol
 from repro.trace import TraceConfig, generate_trace
 from repro.trace.records import Trace
 from repro.verify.fuzzer import generate_case
+from tests.verify.test_mutation import BrokenSwflush
 
 SIZES = [4096, 16384, 65536, 262144]
 
@@ -81,7 +87,9 @@ def assert_family_matches_machine(
             block_bytes=block_bytes,
             associativity=associativity,
         )
-        reference = Machine(protocol, config).run(trace, order=order)
+        reference = Machine(protocol, config).run(
+            trace, order=order, engine="legacy"
+        )
         assert stats_dict(family[size]) == stats_dict(reference), (
             f"{protocol} {order} b{block_bytes} a{associativity} {size}"
         )
@@ -127,7 +135,9 @@ class TestOnepassMatchesMachine:
         restricted = seeded_trace.restricted_to(2)
         for size in (4096, 65536):
             config = SimulationConfig(cache_bytes=size)
-            reference = Machine("swflush", config).run(restricted)
+            reference = Machine("swflush", config).run(
+                restricted, engine="legacy"
+            )
             assert stats_dict(family[size]) == stats_dict(reference)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -168,7 +178,9 @@ class TestFastPathGate:
             for size, result in family.items():
                 assert result.engine == "epoch"
                 config = SimulationConfig(cache_bytes=size)
-                reference = Machine(protocol, config).run(seeded_trace)
+                reference = Machine(protocol, config).run(
+                    seeded_trace, engine="legacy"
+                )
                 assert stats_dict(result) == stats_dict(reference)
                 assert result.protocol_stats == reference.protocol_stats
 
@@ -185,7 +197,9 @@ class TestFastPathGate:
         for size, result in family.items():
             assert result.engine == "columnar"
             config = SimulationConfig(cache_bytes=size)
-            reference = Machine("directory", config).run(seeded_trace)
+            reference = Machine("directory", config).run(
+                seeded_trace, engine="legacy"
+            )
             assert stats_dict(result) == stats_dict(reference)
             assert result.protocol_stats == reference.protocol_stats
 
@@ -210,7 +224,9 @@ class TestFastPathGate:
         for size, result in family.items():
             assert result.engine == "columnar"
             config = SimulationConfig(cache_bytes=size)
-            reference = Machine(protocol, config).run(seeded_trace)
+            reference = Machine(protocol, config).run(
+                seeded_trace, engine="legacy"
+            )
             assert stats_dict(result) == stats_dict(reference)
             assert result.protocol_stats == reference.protocol_stats
 
@@ -228,7 +244,9 @@ class TestFastPathGate:
         assert recorded == reason
         assert family[4096].engine == "columnar"
         config = SimulationConfig(cache_bytes=4096, associativity=4)
-        reference = Machine("dragon", config).run(seeded_trace)
+        reference = Machine("dragon", config).run(
+            seeded_trace, engine="legacy"
+        )
         assert stats_dict(family[4096]) == stats_dict(reference)
 
     def test_non_integral_costs_fall_back(self, seeded_trace):
@@ -254,8 +272,31 @@ class TestFastPathGate:
         assert family[4096].engine == "columnar"
         reference = Machine(
             "base", SimulationConfig(cache_bytes=4096), fractional
-        ).run(seeded_trace)
+        ).run(seeded_trace, engine="legacy")
         assert stats_dict(family[4096]) == stats_dict(reference)
+
+    def test_protocol_subclass_falls_back(self, seeded_trace):
+        # The engines hard-code the registered protocol's outcomes, so
+        # a subclass keeping its parent's name (a mutant, an oracle
+        # shadow) must run its own code through per-config replay.
+        engine, reason = family_support(BrokenSwflush)
+        assert engine == "fallback"
+        assert reason.startswith("protocol:BrokenSwflush")
+        assert not supports_onepass(BrokenSwflush)
+        assert family_support(SoftwareFlushProtocol) == ("onepass", None)
+        before, _ = fallback_counters()
+        family = run_geometry_family(BrokenSwflush, seeded_trace, [16384])
+        after, recorded = fallback_counters()
+        assert after == before + 1
+        assert recorded == reason
+        assert family[16384].engine == "columnar"
+        config = SimulationConfig(cache_bytes=16384)
+        reference = Machine(BrokenSwflush, config).run(
+            seeded_trace, engine="legacy"
+        )
+        assert stats_dict(family[16384]) == stats_dict(reference)
+        real = run_geometry_family("swflush", seeded_trace, [16384])
+        assert stats_dict(family[16384]) != stats_dict(real[16384])
 
     def test_supported_combinations(self):
         for protocol in ONEPASS_PROTOCOLS:
@@ -265,6 +306,74 @@ class TestFastPathGate:
             assert supports_onepass(protocol)
             assert family_support(protocol) == ("epoch", None)
         assert not supports_onepass("directory")
+
+
+class TestFamilyOfOne:
+    """``Machine.run``'s default engine replays a family protocol as a
+    family of one; every routed shape must equal the legacy loop."""
+
+    PROTOCOLS = ONEPASS_PROTOCOLS + FAMILY_PROTOCOLS
+
+    @staticmethod
+    def assert_routed(trace, protocol, config, **kwargs):
+        machine = Machine(protocol, config)
+        before, _ = replay_counters()
+        routed = machine.run(trace, **kwargs)
+        after, noted = replay_counters()
+        expected, _ = family_support(
+            protocol,
+            associativity=config.associativity,
+            bus_arbitration_cycles=config.bus_arbitration_cycles,
+        )
+        assert routed.engine == expected
+        assert noted == expected
+        assert after - before == routed.records_replayed
+        assert routed.config is config
+        reference = machine.run(trace, engine="legacy", **kwargs)
+        assert routed.records_replayed == reference.records_replayed
+        assert stats_dict(routed) == stats_dict(reference)
+        assert routed.protocol_stats == reference.protocol_stats
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_empty_trace(self, protocol):
+        trace = Trace.from_arrays(
+            name="empty",
+            cpus=2,
+            shared_region=range(0, 256),
+            cpu=np.zeros(0, dtype=np.uint16),
+            kind=np.zeros(0, dtype=np.uint8),
+            address=np.zeros(0, dtype=np.uint64),
+        )
+        self.assert_routed(trace, protocol, SimulationConfig())
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_single_cpu(self, protocol):
+        trace = generate_trace(
+            TraceConfig(cpus=1, records_per_cpu=2_000, seed=3)
+        )
+        self.assert_routed(trace, protocol, SimulationConfig(cache_bytes=4096))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_cpu_restriction(self, seeded_trace, protocol):
+        self.assert_routed(
+            seeded_trace, protocol, SimulationConfig(cache_bytes=4096), cpus=2
+        )
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_trace_order(self, seeded_trace, protocol):
+        self.assert_routed(
+            seeded_trace,
+            protocol,
+            SimulationConfig(cache_bytes=4096),
+            order="trace",
+        )
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_integral_arbitration(self, seeded_trace, protocol):
+        config = SimulationConfig(
+            cache_bytes=4096, bus_arbitration_cycles=2.0
+        )
+        self.assert_routed(seeded_trace, protocol, config)
 
 
 class TestTraversalSavings:
@@ -322,7 +431,9 @@ class TestOnepassProperties:
                 config = SimulationConfig(
                     cache_bytes=size, block_bytes=16, associativity=2
                 )
-                reference = Machine(protocol, config).run(trace)
+                reference = Machine(protocol, config).run(
+                    trace, engine="legacy"
+                )
                 assert stats_dict(family[size]) == stats_dict(reference)
                 misses.append(family[size].total_misses)
             # LRU inclusion: a larger cache's contents are a superset,

@@ -4,8 +4,10 @@
 with pure array passes (:mod:`repro.sim.segment`).  It is gated — the
 run-collapse theorem covers geometry-local protocols at associativity
 1 and 2 with integral costs and no handled flushes — and inside the
-gate it must be byte-identical to the columnar engine.  Outside the
-gate it must refuse loudly, never approximate.
+gate it must be byte-identical to the legacy engine (the default
+``Machine.run`` of base and nocache takes the same kernel as a family
+of one, so it is no reference).  Outside the gate it must refuse
+loudly, never approximate.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.trace import TraceConfig, derived_columns, generate_trace
 from repro.trace.records import Trace
 from repro.verify.differential import stats_signature
 from repro.verify.fuzzer import generate_case
+from tests.verify.test_mutation import BrokenSwflush
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +50,9 @@ def without_flushes(trace):
 def assert_segment_matches_columnar(trace, protocol, config, order="time"):
     machine = Machine(protocol, config)
     segment = machine.run(trace, order=order, engine="segment")
-    columnar = machine.run(trace, order=order, engine="columnar")
+    legacy = machine.run(trace, order=order, engine="legacy")
     assert segment.engine == "segment"
-    assert stats_signature(segment) == stats_signature(columnar), (
+    assert stats_signature(segment) == stats_signature(legacy), (
         f"{protocol} {order} {config}"
     )
 
@@ -114,6 +117,16 @@ class TestSegmentGate:
     def test_refuses_coupled_protocol(self, seeded_trace):
         assert segment_reason("dragon").startswith("protocol:")
         machine = Machine("dragon", SimulationConfig())
+        with pytest.raises(ValueError, match="segment engine is not exact"):
+            machine.run(seeded_trace, engine="segment")
+
+    def test_refuses_protocol_subclass(self, seeded_trace):
+        # A subclass keeps its parent's name but not its code; the
+        # kernel hard-codes the registered outcomes, so it must refuse.
+        assert segment_reason(BrokenSwflush).startswith(
+            "protocol:BrokenSwflush is not the registered"
+        )
+        machine = Machine(BrokenSwflush, SimulationConfig())
         with pytest.raises(ValueError, match="segment engine is not exact"):
             machine.run(seeded_trace, engine="segment")
 
